@@ -6,9 +6,9 @@
 // minute under load, not the process lifetime), a slow-query flight
 // recorder, and an OpenMetrics /metrics endpoint.
 //
-// The read path is lock-light: synopses are published into an immutable map
+// The read path is lock-light: datasets are published into an immutable map
 // swapped atomically (the same read-mostly pattern eval's rank arrays use),
-// so request goroutines never contend on the catalog. Each request gets a
+// and each request resolves against one load of it. Each request gets a
 // deadline-bounded context carrying an obs.Trace; the eval layer records its
 // plan/memo/emit phases onto it.
 package serve
@@ -90,18 +90,10 @@ type Server struct {
 	maxResultBytes int
 	injectDelay    time.Duration
 
-	// catalog is an immutable map[string]*sketch.Sketch swapped wholesale
-	// on update, so lookups are a single atomic load.
-	catalog atomic.Pointer[map[string]*sketch.Sketch]
-	// ixCatalog maps dataset names to their document indexes for
-	// ?mode=exact; same immutable-swap discipline. Synopsis-only datasets
-	// have no entry.
-	ixCatalog atomic.Pointer[map[string]*eval.Index]
-	// stacks maps live datasets to their tier stacks (POST /update +
-	// base+delta estimates); same immutable-swap discipline. Static
-	// datasets have no entry.
-	stacks atomic.Pointer[map[string]*tier.Stack]
-	mu     sync.Mutex // serializes catalog writers
+	// datasets is the immutable name -> dataset map, swapped wholesale by
+	// publish; each request resolves against one Load of it.
+	datasets atomic.Pointer[map[string]*dataset]
+	mu       sync.Mutex // serializes publish
 
 	gate     *admissionGate // nil: admission control disabled
 	draining atomic.Bool
@@ -152,12 +144,7 @@ func New(opts Options) *Server {
 		gSketches:        reg.Gauge("serve.catalog.sketches"),
 		wLatency:         reg.Windowed("serve.request.latency_seconds"),
 	}
-	empty := map[string]*sketch.Sketch{}
-	s.catalog.Store(&empty)
-	emptyIx := map[string]*eval.Index{}
-	s.ixCatalog.Store(&emptyIx)
-	emptyStacks := map[string]*tier.Stack{}
-	s.stacks.Store(&emptyStacks)
+	s.datasets.Store(&map[string]*dataset{})
 	return s
 }
 
@@ -168,93 +155,70 @@ func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.rec }
 // Registry returns the registry the server reports into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// AddSketch publishes a synopsis under the given dataset name, replacing any
-// previous synopsis of that name. The swap is atomic: in-flight requests
-// keep the catalog they already loaded.
+// dataset is one published document: exactly one view source — a frozen
+// synopsis (sk) or a live tier stack whose current base+delta view answers
+// estimates — plus, optionally, the document index behind ?mode=exact.
+// Entries are immutable; every publish builds fresh ones.
+type dataset struct {
+	sk    *sketch.Sketch
+	stack *tier.Stack
+	ix    *eval.Index
+}
+
+// publish applies edit to a private copy of the dataset map and swaps the
+// copy in with one atomic store: in-flight requests keep the map they
+// already loaded, later ones see the whole edit.
+func (s *Server) publish(edit func(next map[string]*dataset)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := *s.datasets.Load()
+	next := make(map[string]*dataset, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	edit(next)
+	s.datasets.Store(&next)
+	s.gSketches.Set(int64(len(next)))
+}
+
+// AddSketch publishes a frozen synopsis under the given dataset name,
+// replacing any previous dataset of that name together with its index or
+// stack.
 func (s *Server) AddSketch(name string, sk *sketch.Sketch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.catalog.Load()
-	next := make(map[string]*sketch.Sketch, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = sk
-	s.catalog.Store(&next)
-	s.gSketches.Set(int64(len(next)))
+	s.publish(func(next map[string]*dataset) { next[name] = &dataset{sk: sk} })
 }
 
-// AddIndex publishes the document index backing a dataset, enabling
-// ?mode=exact for it. Separate from AddSketch because synopsis-only
-// deployments (loading .syn files) have no document to index; exact
-// requests against such datasets get a structured 404.
+// AddIndex attaches the document index backing a published dataset,
+// enabling ?mode=exact for it; publish the dataset (AddSketch) first; an
+// unpublished name is ignored. Separate from AddSketch because
+// synopsis-only deployments (loading .syn files) have no document to index;
+// exact requests against such datasets get a structured 404.
 func (s *Server) AddIndex(name string, ix *eval.Index) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.ixCatalog.Load()
-	next := make(map[string]*eval.Index, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = ix
-	s.ixCatalog.Store(&next)
-}
-
-// AddStack publishes a live (updatable) dataset: estimates answer over the
-// stack's base+delta view and POST /update mutates it. The name is also
-// entered in the sketch catalog (with the stack's current base) so dataset
-// listing and name resolution treat live and static datasets uniformly —
-// but the estimate path always reads the stack's current view, never that
-// snapshot.
-func (s *Server) AddStack(name string, st *tier.Stack) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.stacks.Load()
-	next := make(map[string]*tier.Stack, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[name] = st
-	s.stacks.Store(&next)
-
-	oldCat := *s.catalog.Load()
-	nextCat := make(map[string]*sketch.Sketch, len(oldCat)+1)
-	for k, v := range oldCat {
-		nextCat[k] = v
-	}
-	nextCat[name] = st.View().Base
-	s.catalog.Store(&nextCat)
-	s.gSketches.Set(int64(len(nextCat)))
-}
-
-// stackFor resolves a live dataset; an empty name resolves iff exactly one
-// stack is published.
-func (s *Server) stackFor(name string) (*tier.Stack, string, bool) {
-	stacks := *s.stacks.Load()
-	if name == "" {
-		if len(stacks) == 1 {
-			for n, st := range stacks {
-				return st, n, true
-			}
+	s.publish(func(next map[string]*dataset) {
+		if d, ok := next[name]; ok {
+			next[name] = &dataset{sk: d.sk, stack: d.stack, ix: ix}
 		}
-		return nil, "", false
-	}
-	st, ok := stacks[name]
-	return st, name, ok
+	})
 }
 
-// SetCatalog atomically replaces the whole catalog. In-flight requests keep
-// the catalog they already resolved against; only requests that look up a
-// dataset after the swap see the new set.
+// AddStack publishes a live (updatable) dataset, replacing any previous
+// dataset of that name: estimates answer over the stack's current
+// base+delta view and POST /update mutates it.
+func (s *Server) AddStack(name string, st *tier.Stack) {
+	s.publish(func(next map[string]*dataset) { next[name] = &dataset{stack: st} })
+}
+
+// SetCatalog atomically replaces the whole dataset set with frozen,
+// index-less synopses: names not in cat disappear from every endpoint,
+// live ones included. In-flight requests keep the set they already
+// resolved against.
 func (s *Server) SetCatalog(cat map[string]*sketch.Sketch) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	next := make(map[string]*sketch.Sketch, len(cat))
-	for k, v := range cat {
-		next[k] = v
-	}
-	s.catalog.Store(&next)
-	s.gSketches.Set(int64(len(next)))
+	s.publish(func(next map[string]*dataset) {
+		clear(next)
+		for k, sk := range cat {
+			next[k] = &dataset{sk: sk}
+		}
+	})
 }
 
 // StartDrain puts the server into draining mode: new requests are shed with
@@ -270,8 +234,9 @@ func (s *Server) DrainStats() (completed, shed int64) {
 }
 
 // Datasets returns the published dataset names, sorted.
-func (s *Server) Datasets() []string {
-	cat := *s.catalog.Load()
+func (s *Server) Datasets() []string { return datasetNames(*s.datasets.Load()) }
+
+func datasetNames(cat map[string]*dataset) []string {
 	names := make([]string, 0, len(cat))
 	for n := range cat {
 		names = append(names, n)
@@ -280,20 +245,27 @@ func (s *Server) Datasets() []string {
 	return names
 }
 
-// lookup resolves a dataset name; an empty name resolves iff exactly one
-// synopsis is published.
-func (s *Server) lookup(name string) (*sketch.Sketch, string, bool) {
-	cat := *s.catalog.Load()
-	if name == "" {
-		if len(cat) == 1 {
-			for n, sk := range cat {
-				return sk, n, true
-			}
+// resolve finds a dataset in cat, a request's one snapshot of the dataset
+// map; live restricts it to tier stacks. An empty name resolves iff
+// exactly one eligible dataset is published.
+func resolve(cat map[string]*dataset, name string, live bool) (*dataset, string) {
+	if name != "" {
+		if d := cat[name]; d != nil && (!live || d.stack != nil) {
+			return d, name
 		}
-		return nil, "", false
+		return nil, name
 	}
-	sk, ok := cat[name]
-	return sk, name, ok
+	var found *dataset
+	for n, d := range cat {
+		if live && d.stack == nil {
+			continue
+		}
+		if found != nil {
+			return nil, ""
+		}
+		found, name = d, n
+	}
+	return found, name
 }
 
 // Handler returns the server's full HTTP surface: the estimate API plus the
@@ -492,46 +464,17 @@ const resultNodeBytes = 64
 // requests only — sheds are visible in the serve.admission.* counters and
 // the queue-wait window instead.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
-	s.gInflight.Add(1)
-	defer s.gInflight.Add(-1)
-	span := s.reg.StartSpan("serve.request.handle")
-	defer span.End()
-
-	ctx := r.Context()
-	if s.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.deadline)
-		defer cancel()
-	}
-
 	qsrc := r.URL.Query().Get("q")
+	ctx, tr, done, ok := s.admit(w, r, qsrc)
+	defer done()
+	if !ok {
+		return
+	}
+
 	if qsrc == "" {
-		s.fail(w, http.StatusBadRequest, codeMissingQuery, "", "missing q parameter")
+		s.fail(w, http.StatusBadRequest, codeMissingQuery, tr.IDString(), "missing q parameter")
 		return
 	}
-	tr := obs.NewTrace(qsrc)
-	ctx = obs.ContextWithTrace(ctx, tr)
-
-	if s.draining.Load() {
-		s.mDrainShed.Inc()
-		s.shed(w, tr, codeDraining, "server is draining")
-		return
-	}
-	if s.gate != nil {
-		release, reason := s.gate.acquire(ctx, tr)
-		if release == nil {
-			s.shed(w, tr, reason, "server overloaded: "+reason)
-			return
-		}
-		defer release()
-	}
-	if s.injectDelay > 0 {
-		ds := tr.StartSpan("serve.inject_delay")
-		time.Sleep(s.injectDelay)
-		ds.End()
-	}
-
 	limit, err := s.resultLimit(r)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, codeBadK, tr.IDString(), err.Error())
@@ -555,17 +498,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sk, dsName, ok := s.lookup(r.URL.Query().Get("dataset"))
-	if !ok {
+	cat := *s.datasets.Load()
+	d, dsName := resolve(cat, r.URL.Query().Get("dataset"), false)
+	if d == nil {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeUnknownDataset, tr.IDString(),
-			fmt.Sprintf("unknown dataset %q (have %v)", r.URL.Query().Get("dataset"), s.Datasets()))
+			fmt.Sprintf("unknown dataset %q (have %v)", dsName, datasetNames(cat)))
 		return
 	}
 	tr.SetLabel("dataset", dsName)
 
 	if mode == "exact" {
-		s.serveExact(w, ctx, tr, q, dsName, limit)
+		s.serveExact(w, ctx, tr, q, dsName, d.ix, limit)
 		return
 	}
 
@@ -574,11 +518,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		sel      float64
 		tierResp *TierResponse
 	)
-	if st, _, live := s.stackFor(dsName); live {
+	if d.stack != nil {
 		// Live dataset: answer over the stack's current immutable view
 		// (base+delta), which never blocks on an in-flight compaction.
 		var info tier.Info
-		res, sel, info = st.EstimateContext(ctx, q, eval.Options{
+		res, sel, info = d.stack.EstimateContext(ctx, q, eval.Options{
 			MaxEmbeddings: s.maxEmb,
 			Limit:         limit,
 			Metrics:       s.reg,
@@ -589,10 +533,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			DeltaElems:      info.DeltaElems,
 			BaseSelectivity: jsonSafe(info.BaseSelectivity),
 			Delta:           jsonSafe(info.Delta),
-			Compacting:      st.Compacting(),
+			Compacting:      d.stack.Compacting(),
 		}
 	} else {
-		res = eval.ApproxContext(ctx, sk, q, eval.Options{
+		res = eval.ApproxContext(ctx, d.sk, q, eval.Options{
 			MaxEmbeddings: s.maxEmb,
 			Limit:         limit,
 			Metrics:       s.reg,
@@ -638,9 +582,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 // serveExact answers ?mode=exact from the dataset's document index: the
 // true binding-tuple count, plus — under a node budget — a best-first
 // materialization report with the exact remaining-mass bound.
-func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, q *query.Query, dsName string, limit int) {
-	ix, ok := (*s.ixCatalog.Load())[dsName]
-	if !ok {
+func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, q *query.Query, dsName string, ix *eval.Index, limit int) {
+	if ix == nil {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeNoExactIndex, tr.IDString(),
 			fmt.Sprintf("dataset %q has no document index (built from a synopsis only); exact mode needs -doc", dsName))
@@ -667,10 +610,7 @@ func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.
 		// so overload forensics see these alongside admission sheds.
 		s.mOverflow.Inc()
 		tr.SetLabel("shed", codeTupleOverflow)
-		tr.Finish()
-		if s.rec.Record(tr) {
-			s.mRetained.Inc()
-		}
+		s.finish(tr)
 		s.writeJSON(w, http.StatusUnprocessableEntity, errorResponse{
 			Error:   res.Err().Error(),
 			Code:    codeTupleOverflow,
@@ -708,6 +648,70 @@ func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.
 	s.finishEstimate(w, ctx, tr, resp)
 }
 
+// admit opens an /estimate or /update request: it counts the request,
+// bounds it by the request deadline, starts its trace (named traceName),
+// sheds it while draining or when the admission gate refuses it, and
+// applies InjectDelay. The handler must defer done; when ok is false the
+// request was shed and its 503 is already written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, traceName string) (ctx context.Context, tr *obs.Trace, done func(), ok bool) {
+	s.mRequests.Inc()
+	s.gInflight.Add(1)
+	start := time.Now()
+	ctx, cancel := r.Context(), func() {}
+	if s.deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.deadline)
+	}
+	release := func() {}
+	done = func() {
+		release()
+		cancel()
+		s.reg.Observe("serve.request.handle", time.Since(start))
+		s.gInflight.Add(-1)
+	}
+	tr = obs.NewTrace(traceName)
+	ctx = obs.ContextWithTrace(ctx, tr)
+
+	if s.draining.Load() {
+		s.mDrainShed.Inc()
+		s.shed(w, tr, codeDraining, "server is draining")
+		return ctx, tr, done, false
+	}
+	if s.gate != nil {
+		rel, reason := s.gate.acquire(ctx, tr)
+		if rel == nil {
+			s.shed(w, tr, reason, "server overloaded: "+reason)
+			return ctx, tr, done, false
+		}
+		release = rel
+	}
+	if s.injectDelay > 0 {
+		ds := tr.StartSpan("serve.inject_delay")
+		time.Sleep(s.injectDelay)
+		ds.End()
+	}
+	return ctx, tr, done, true
+}
+
+// finish closes tr and offers it to the flight recorder, returning the
+// request's total time.
+func (s *Server) finish(tr *obs.Trace) time.Duration {
+	total := tr.Finish()
+	if s.rec.Record(tr) {
+		s.mRetained.Inc()
+	}
+	return total
+}
+
+// answer writes the 200 body of a request answered in total, counting it
+// in the latency window and, during a drain, as drained.
+func (s *Server) answer(w http.ResponseWriter, total time.Duration, resp any) {
+	s.wLatency.Observe(total.Seconds())
+	if s.draining.Load() {
+		s.mDrainDone.Inc()
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
 // finishEstimate settles a computed answer against the deadline. The
 // deadline is enforced at phase boundaries rather than inside the
 // enumeration loops: a request that finished over budget is answered with
@@ -720,11 +724,8 @@ func (s *Server) serveExact(w http.ResponseWriter, ctx context.Context, tr *obs.
 // finished — so it goes out as a normal 200 with Partial false and eval's
 // own DeadlineHit report intact.
 func (s *Server) finishEstimate(w http.ResponseWriter, ctx context.Context, tr *obs.Trace, resp EstimateResponse) {
-	total := tr.Finish()
+	total := s.finish(tr)
 	resp.Seconds = total.Seconds()
-	if s.rec.Record(tr) {
-		s.mRetained.Inc()
-	}
 	if ctx.Err() != nil && (resp.TopK == nil || !resp.TopK.Exhausted) {
 		if resp.TopK != nil && resp.TopK.Expanded >= 1 {
 			resp.Partial = true
@@ -742,11 +743,7 @@ func (s *Server) finishEstimate(w http.ResponseWriter, ctx context.Context, tr *
 			return
 		}
 	}
-	s.wLatency.Observe(total.Seconds())
-	if s.draining.Load() {
-		s.mDrainDone.Inc()
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.answer(w, total, resp)
 }
 
 // jsonSafe clamps non-finite floats (which encoding/json rejects, killing
@@ -769,10 +766,7 @@ func jsonSafe(f float64) float64 {
 // turned away, not just what ran.
 func (s *Server) shed(w http.ResponseWriter, tr *obs.Trace, code, msg string) {
 	tr.SetLabel("shed", code)
-	tr.Finish()
-	if s.rec.Record(tr) {
-		s.mRetained.Inc()
-	}
+	s.finish(tr)
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(code)))
 	s.writeJSON(w, http.StatusServiceUnavailable, errorResponse{
 		Error:             msg,

@@ -189,7 +189,7 @@ func TestDatasetsAndCatalogSwap(t *testing.T) {
 		t.Errorf("catalog gauge = %d, want 2", g)
 	}
 	// Two datasets published: an empty dataset parameter is now ambiguous.
-	if _, _, ok := s.lookup(""); ok {
+	if d, _ := resolve(*s.datasets.Load(), "", false); d != nil {
 		t.Error("empty dataset name should not resolve with two sketches")
 	}
 }

@@ -240,6 +240,39 @@ func TestExactModeHTTP(t *testing.T) {
 	}
 }
 
+// TestAddSketchDropsStaleIndex pins that republishing a dataset's synopsis
+// drops its document index: exact mode answers 404 until an index for the
+// new document is attached, and AddIndex on an unpublished name is ignored.
+func TestAddSketchDropsStaleIndex(t *testing.T) {
+	s, ts := exactTestServer(t)
+	path := "/estimate?dataset=tiny&mode=exact&q=" + urlQueryEscape("//a")
+	if er := getEstimate(t, ts, path); er.Selectivity != 3 {
+		t.Fatalf("exact //a = %v, want 3", er.Selectivity)
+	}
+
+	doc := xmltree.MustCompact("r(a,a)")
+	s.AddSketch("tiny", sketch.FromStable(stable.Build(doc)))
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ee errorResponse
+	json.NewDecoder(resp.Body).Decode(&ee)
+	resp.Body.Close()
+	if resp.StatusCode != 404 || ee.Code != "no_exact_index" {
+		t.Fatalf("exact after AddSketch: status %d code %q, want 404 no_exact_index", resp.StatusCode, ee.Code)
+	}
+
+	s.AddIndex("tiny", eval.NewIndex(doc))
+	if er := getEstimate(t, ts, path); er.Selectivity != 2 {
+		t.Errorf("exact //a after AddIndex = %v, want 2 from the new document", er.Selectivity)
+	}
+	s.AddIndex("nope", eval.NewIndex(doc))
+	if got := s.Datasets(); len(got) != 2 || got[0] != "synonly" || got[1] != "tiny" {
+		t.Errorf("Datasets() = %v after AddIndex on an unpublished name", got)
+	}
+}
+
 // TestTupleOverflowHTTP is the satellite regression: a query whose exact
 // tuple count overflows float64 must come back as a structured 422 with its
 // own code — not an unstructured 500, and not a JSON-encoder failure from

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 
-	"treesketch/internal/obs"
 	"treesketch/internal/xmltree"
 )
 
@@ -63,40 +61,18 @@ type UpdateResponse struct {
 // rebuild runs on a background goroutine and the response returns
 // immediately with compacting=true.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	s.mRequests.Inc()
 	s.mUpdates.Inc()
-	s.gInflight.Add(1)
-	defer s.gInflight.Add(-1)
+	_, tr, done, ok := s.admit(w, r, "update")
+	defer done()
+	if !ok {
+		return
+	}
 
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.fail(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "", "POST only")
+		s.fail(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, tr.IDString(), "POST only")
 		return
 	}
-
-	ctx := r.Context()
-	if s.deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.deadline)
-		defer cancel()
-	}
-	tr := obs.NewTrace("update")
-	ctx = obs.ContextWithTrace(ctx, tr)
-
-	if s.draining.Load() {
-		s.mDrainShed.Inc()
-		s.shed(w, tr, codeDraining, "server is draining")
-		return
-	}
-	if s.gate != nil {
-		release, reason := s.gate.acquire(ctx, tr)
-		if release == nil {
-			s.shed(w, tr, reason, "server overloaded: "+reason)
-			return
-		}
-		defer release()
-	}
-
 	var req UpdateRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBody))
 	dec.DisallowUnknownFields()
@@ -110,8 +86,8 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	st, dsName, ok := s.stackFor(req.Dataset)
-	if !ok {
+	d, dsName := resolve(*s.datasets.Load(), req.Dataset, true)
+	if d == nil {
 		s.mNotFound.Inc()
 		s.fail(w, http.StatusNotFound, codeUnknownDataset, tr.IDString(),
 			fmt.Sprintf("no live dataset %q (static datasets cannot be updated; restart tsserve with -live)", req.Dataset))
@@ -138,9 +114,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, http.StatusBadRequest, codeParseError, tr.IDString(), fmt.Sprintf("subtree: %v", err))
 			return
 		}
-		oid, err = st.Insert(req.ParentOID, proto)
+		oid, err = d.stack.Insert(req.ParentOID, proto)
 	case "delete":
-		oid, err = req.OID, st.Delete(req.OID)
+		oid, err = req.OID, d.stack.Delete(req.OID)
 	}
 	as.End()
 	if err != nil {
@@ -150,7 +126,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	v := st.View()
+	v := d.stack.View()
 	resp := UpdateResponse{
 		TraceID:    tr.IDString(),
 		Dataset:    dsName,
@@ -160,16 +136,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		DeltaElems: v.DeltaElems(),
 		Tiers:      v.Tiers(),
 		Epoch:      v.Epoch,
-		Compacting: st.Compacting(),
+		Compacting: d.stack.Compacting(),
 	}
-	total := tr.Finish()
+	total := s.finish(tr)
 	resp.Seconds = total.Seconds()
-	if s.rec.Record(tr) {
-		s.mRetained.Inc()
-	}
-	s.wLatency.Observe(total.Seconds())
-	if s.draining.Load() {
-		s.mDrainDone.Inc()
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.answer(w, total, resp)
 }

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"treesketch/internal/obs"
+	"treesketch/internal/sketch"
+	"treesketch/internal/stable"
 	"treesketch/internal/tier"
 	"treesketch/internal/xmltree"
 )
@@ -256,5 +259,113 @@ func TestUpdateShedWhileDraining(t *testing.T) {
 	}
 	if stk.Doc().Size() != 3 {
 		t.Errorf("draining update mutated the document (size %d)", stk.Doc().Size())
+	}
+}
+
+// TestUpdateInjectDelay pins that InjectDelay applies to every admitted
+// request, updates included.
+func TestUpdateInjectDelay(t *testing.T) {
+	stk, err := tier.New(xmltree.MustCompact("r(a)"), tier.Options{BudgetBytes: 4096, Synchronous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Metrics: obs.NewRegistry(), InjectDelay: 50 * time.Millisecond})
+	s.AddStack("live", stk)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var ur UpdateResponse
+	if code := postUpdate(t, ts, UpdateRequest{Op: "insert", ParentOID: stk.Doc().Root.OID, Subtree: "a"}, &ur); code != 200 {
+		t.Fatalf("insert status %d", code)
+	}
+	if ur.Seconds < 0.05 {
+		t.Errorf("update reported %vs under a 50ms InjectDelay", ur.Seconds)
+	}
+}
+
+// TestSetCatalogDropsLiveDataset pins SetCatalog's replace-all meaning: a
+// live dataset left out of the new set is gone from /update as well as
+// /estimate and /datasets, and its document is no longer mutated.
+func TestSetCatalogDropsLiveDataset(t *testing.T) {
+	s, stk := newLiveServer(t, "r(a(b))", tier.Options{Synchronous: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	s.SetCatalog(map[string]*sketch.Sketch{"other": sketch.FromStable(stable.Build(xmltree.MustCompact("r(a)")))})
+	for _, ds := range []string{"live", ""} {
+		var er errorResponse
+		req := UpdateRequest{Dataset: ds, Op: "insert", ParentOID: stk.Doc().Root.OID, Subtree: "a"}
+		if code := postUpdate(t, ts, req, &er); code != 404 || er.Code != "unknown_dataset" {
+			t.Errorf("update dataset %q after SetCatalog: status %d code %q, want 404 unknown_dataset", ds, code, er.Code)
+		}
+	}
+	if stk.Doc().Size() != 3 {
+		t.Errorf("document size %d after updates to a dropped dataset, want 3", stk.Doc().Size())
+	}
+	if got := s.Datasets(); len(got) != 1 || got[0] != "other" {
+		t.Errorf("Datasets() = %v, want [other]", got)
+	}
+}
+
+// TestStaticSketchReplacesLiveDataset pins that a frozen synopsis published
+// over a live name replaces the stack: estimates answer from the new
+// synopsis with no tier block, and the name stops accepting updates.
+func TestStaticSketchReplacesLiveDataset(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		publish func(*Server, *sketch.Sketch)
+	}{
+		{"AddSketch", func(s *Server, sk *sketch.Sketch) { s.AddSketch("live", sk) }},
+		{"SetCatalog", func(s *Server, sk *sketch.Sketch) { s.SetCatalog(map[string]*sketch.Sketch{"live": sk}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, stk := newLiveServer(t, "r(a(b),a(b))", tier.Options{Synchronous: true})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			tc.publish(s, sketch.FromStable(stable.Build(xmltree.MustCompact("r(a(b),a(b),a(b))"))))
+			if er := estimate(t, ts, "//a/b"); er.Selectivity != 3 || er.Tier != nil {
+				t.Errorf("estimate after replacing the stack: selectivity %v tier %+v, want 3 from the static sketch", er.Selectivity, er.Tier)
+			}
+			var er errorResponse
+			req := UpdateRequest{Dataset: "live", Op: "insert", ParentOID: stk.Doc().Root.OID, Subtree: "a"}
+			if code := postUpdate(t, ts, req, &er); code != 404 || er.Code != "unknown_dataset" {
+				t.Errorf("update after replacing the stack: status %d code %q, want 404 unknown_dataset", code, er.Code)
+			}
+			if stk.Doc().Size() != 5 {
+				t.Errorf("replaced stack's document size %d, want 5", stk.Doc().Size())
+			}
+		})
+	}
+}
+
+// TestAddStackDoesNotPinCompactedBase pins that the server holds the stack
+// only: once a compaction replaces the initial base, nothing in the server
+// keeps that base alive. The base is never evaluated here, because eval's
+// per-synopsis label-set cache would pin it on its own.
+func TestAddStackDoesNotPinCompactedBase(t *testing.T) {
+	s, stk := newLiveServer(t, "r(a(b),a(b))", tier.Options{Synchronous: true})
+	collected := make(chan struct{})
+	runtime.SetFinalizer(stk.View().Base, func(*sketch.Sketch) { close(collected) })
+
+	if _, err := stk.Insert(stk.Doc().Root.OID, xmltree.MustCompact("a(b)")); err != nil {
+		t.Fatal(err)
+	}
+	stk.Compact()
+	if stk.View().Epoch == 0 {
+		t.Fatal("Compact did not replace the base")
+	}
+	freed := false
+	for i := 0; i < 50 && !freed; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			freed = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(s)
+	if !freed {
+		t.Error("the initial base is still reachable after compaction; the server pins it")
 	}
 }
