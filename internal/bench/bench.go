@@ -64,11 +64,6 @@ type Config struct {
 	// measuring best-first emission latency under this budget. 0 selects
 	// the default 16; negative disables the leg.
 	TopKLimit int `json:"topk_limit,omitempty"`
-	// ReferenceEval runs the approximate-evaluation legs through the
-	// pre-fast-path reference enumeration (eval.Options.Reference). Useful
-	// for measuring what the plan-driven fast path buys: accuracy metrics
-	// must be bit-identical between the two modes, only latency may differ.
-	ReferenceEval bool `json:"reference_eval,omitempty"`
 	// ServeSeconds is how long the under-load serving leg drives each
 	// dataset's tsserve instance with closed-loop concurrent clients.
 	// 0 selects a scale-appropriate default; negative disables the leg.
@@ -368,12 +363,11 @@ func benchDataset(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds 
 		// error computations are seed-deterministic, one pass suffices);
 		// the recorded passes then time only the evaluation itself.
 		hApprox := reg.Histogram(fmt.Sprintf("bench.%s.%02dkb.approx_latency_seconds", metricname.Clean(ds), budgetKB))
-		evalOpts := eval.Options{Reference: cfg.ReferenceEval}
 		approxCounters0 := counterTotals(reg, "eval.approx.")
 		var errSum, esdSum float64
 		n := 0
 		for _, item := range w {
-			ar := eval.Approx(sk, item.Q, evalOpts)
+			ar := eval.Approx(sk, item.Q, eval.Options{})
 			if item.Empty {
 				continue
 			}
@@ -382,7 +376,7 @@ func benchDataset(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds 
 			esdSum += esd.Distance(item.TruthESD, ar.ESDGraph())
 		}
 		approxTotal := measureLatencies(hApprox, cfg.Repeats, len(w), func(i int) {
-			eval.Approx(sk, w[i].Q, evalOpts)
+			eval.Approx(sk, w[i].Q, eval.Options{})
 		})
 		em := Metrics{
 			"approx_p50_seconds":     hApprox.Quantile(0.50),
@@ -411,7 +405,7 @@ func benchDataset(res *Result, r *exp.Runner, reg *obs.Registry, cfg Config, ds 
 		// counter deltas and the mean truncation bound ride along as context.
 		if cfg.TopKLimit > 0 {
 			hTopK := reg.Histogram(fmt.Sprintf("bench.%s.%02dkb.topk_latency_seconds", metricname.Clean(ds), budgetKB))
-			topkOpts := eval.Options{Limit: cfg.TopKLimit, Reference: cfg.ReferenceEval}
+			topkOpts := eval.Options{Limit: cfg.TopKLimit}
 			topkCounters0 := counterTotals(reg, "eval.topk.")
 			var boundSum float64
 			finite := 0

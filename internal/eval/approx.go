@@ -41,16 +41,17 @@ type Options struct {
 	// worked example of the paper's Example 4.1 is reproduced exactly
 	// with PaperMode set.
 	PaperMode bool
-	// Reference selects the pre-fast-path embedding enumeration (label-
-	// reachability pruning only, no plan compilation, per-embedding
-	// count walks). It exists for differential testing: on queries that do
-	// not hit the MaxEmbeddings truncation guards, the fast path is
-	// bit-identical to the reference.
-	Reference bool
 	// Metrics receives the evaluation's observability metrics (the
 	// eval.approx.* namespace). Nil selects the process-wide obs.Default
 	// registry.
 	Metrics *obs.Registry
+
+	// enumerate, when set, replaces enumFast as the embedding enumeration:
+	// it returns the deduplicated embeddings of p from node from, each with
+	// k (or, with needExist, exist) filled in. Only this package's tests set
+	// it, to run the naive reference enumeration the fast path is checked
+	// against bit for bit.
+	enumerate func(a *approxer, from int, p *query.Path, needExist bool) []embedding
 }
 
 func (o Options) withDefaults() Options {
@@ -154,7 +155,6 @@ func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Op
 		qnodes:       q.Vars(),
 		qidx:         make(map[*query.Node]int),
 		opts:         opts.withDefaults(),
-		reference:    opts.Reference,
 		conditioning: conditioning && !opts.DisablePrune,
 		twoMoment:    twoMoment,
 		selMemo:      make(map[selKey]float64),
@@ -169,14 +169,12 @@ func newApproxer(ctx context.Context, sk *sketch.Sketch, q *query.Query, opts Op
 	for i, qn := range a.qnodes {
 		a.qidx[qn] = i
 	}
-	if !a.reference {
-		var cached bool
-		a.plan, cached = planFor(q)
-		if cached {
-			reg.Counter("eval.approx.plan.hits").Inc()
-		} else {
-			reg.Counter("eval.approx.plan.misses").Inc()
-		}
+	var cached bool
+	a.plan, cached = planFor(q)
+	if cached {
+		reg.Counter("eval.approx.plan.hits").Inc()
+	} else {
+		reg.Counter("eval.approx.plan.misses").Inc()
 	}
 	ps.End()
 	return a
@@ -235,20 +233,18 @@ type approxer struct {
 	qidx   map[*query.Node]int
 	opts   Options
 
-	reference    bool
 	conditioning bool
 	twoMoment    bool
 
-	plan *qplan // nil in reference mode
+	plan *qplan
 
-	res        *Result
-	resIndex   map[resKey]int // (synopsis node, query var index) -> result node
-	bind       [][]int        // query var index -> result node IDs
-	selMemo    map[selKey]float64
-	reachCache map[string][]bool // reference-mode label reachability
-	labels     map[string]bool   // fast-path synopsis label universe
-	canTabs    map[*query.Path][]int8
-	truncated  bool
+	res       *Result
+	resIndex  map[resKey]int // (synopsis node, query var index) -> result node
+	bind      [][]int        // query var index -> result node IDs
+	selMemo   map[selKey]float64
+	labels    map[string]bool // synopsis label universe
+	canTabs   map[*query.Path][]int8
+	truncated bool
 
 	// Enumeration pool for the finite-budget streaming path: when poolOn,
 	// every enumeration draws its embedding budget and work allowance from
@@ -306,11 +302,9 @@ type selKey struct {
 // if at least one step assignment exists, and elements on distinct class
 // paths are distinct.
 //
-// The fast path additionally stores the product accumulated while walking
-// the path (k: average descendant counts; exist: per-hop existence
-// probabilities), multiplied hop by hop in path order — the same
-// association the reference per-embedding walks use, so values are
-// bit-identical.
+// The enumeration also stores the product accumulated while walking the
+// path (k: average descendant counts; exist: per-hop existence
+// probabilities), multiplied hop by hop in path order.
 type embedding struct {
 	nodes   []int
 	stepAts [][]int
@@ -514,7 +508,7 @@ func (a *approxer) edgeTerms(src int, edge *query.Edge) []termK {
 	steps := edge.Path.MainSteps()
 	perTerm := make(map[int]float64)
 	if a.fastStream(edge.Path) {
-		a.enumFast(src, edge.Path, false, nil, func(term int, prod float64) {
+		a.enum(src, edge.Path, false, nil, func(term int, prod float64) {
 			if prod > 0 {
 				perTerm[term] += prod
 			}
@@ -522,7 +516,7 @@ func (a *approxer) edgeTerms(src int, edge *query.Edge) []termK {
 	} else {
 		for _, e := range a.embeddings(src, edge.Path, false) {
 			a.tickCtx(1)
-			k := a.evalEmbed(steps, src, e)
+			k := a.evalEmbed(steps, e)
 			if k > 0 {
 				perTerm[e.nodes[len(e.nodes)-1]] += k
 			}
@@ -544,32 +538,44 @@ func (a *approxer) edgeTerms(src int, edge *query.Edge) []termK {
 }
 
 // fastStream reports whether path p can be enumerated in streaming mode:
-// plan-driven evaluation with no step predicates, where only (terminal,
-// product) pairs are needed and embeddings never materialize.
+// no step carries predicates, so only (terminal, product) pairs are needed
+// and embeddings never materialize.
 func (a *approxer) fastStream(p *query.Path) bool {
-	return !a.reference && !a.plan.paths[p].hasPreds
+	return !a.plan.paths[p].hasPreds
 }
 
-// embeddings enumerates the mappings of p's steps into the synopsis
-// starting at node from, dispatching between the fast path and the
-// reference enumeration. needExist selects which per-path product the fast
-// path accumulates (descendant counts for EvalEmbed, per-hop existence
+// embeddings materializes the mappings of p's steps into the synopsis
+// starting at node from. It is the slow shape of the enumeration, needed
+// only when a step carries predicates (the best step assignment is then
+// chosen per node path). needExist selects which per-path product is
+// accumulated (descendant counts for EvalEmbed, per-hop existence
 // probabilities for the two-moment estimator).
 func (a *approxer) embeddings(from int, p *query.Path, needExist bool) []embedding {
-	if a.reference {
-		return a.embeddingsRef(from, p.Steps)
-	}
-	return a.embeddingsFast(from, p, needExist)
+	var out []embedding
+	a.enum(from, p, needExist, &out, nil)
+	return out
 }
 
-// embeddingsFast materializes the plan-driven enumeration. It is the slow
-// shape of the fast path, needed only when a step carries predicates (the
-// best step assignment is then chosen per node path); predicate-free paths
-// go through enumFast's streaming mode and never build embedding values.
-func (a *approxer) embeddingsFast(from int, p *query.Path, needExist bool) []embedding {
-	var out []embedding
-	a.enumFast(from, p, needExist, &out, nil)
-	return out
+// enum runs one embedding enumeration with enumFast's out/stream contract:
+// enumFast, unless a test installed the reference enumeration through
+// Options.enumerate. That one's embeddings are handed out here rather than
+// passing out and stream through the indirect call, which would move them
+// and everything they capture to the heap on every production call.
+func (a *approxer) enum(from int, p *query.Path, needExist bool, out *[]embedding, stream func(term int, prod float64)) {
+	if a.opts.enumerate == nil {
+		a.enumFast(from, p, needExist, out, stream)
+		return
+	}
+	for _, e := range a.opts.enumerate(a, from, p, needExist) {
+		switch {
+		case out != nil:
+			*out = append(*out, e)
+		case needExist:
+			stream(e.nodes[len(e.nodes)-1], e.exist)
+		default:
+			stream(e.nodes[len(e.nodes)-1], e.k)
+		}
+	}
 }
 
 // enumFast is the plan-driven enumeration: a DFS over the synopsis that
@@ -578,9 +584,9 @@ func (a *approxer) embeddingsFast(from int, p *query.Path, needExist bool) []emb
 // remaining steps cannot all be placed below it — so every surviving
 // branch emits at least one embedding — and (3) accumulates the
 // per-embedding count (or existence) product hop by hop during the walk,
-// eliminating the per-embedding re-walks of the reference path. Emission
-// order, and therefore all downstream floating-point accumulation, is
-// identical to the reference whenever neither enumeration truncates.
+// so no embedding is walked twice. Emission order, and therefore all
+// downstream floating-point accumulation, is that of a naive depth-first
+// enumeration whenever the walk does not truncate.
 //
 // Exactly one of out/stream is set. With out, embeddings are materialized
 // (nodes, step assignments, product). With stream, each deduplicated
@@ -664,7 +670,7 @@ func (a *approxer) enumFast(from int, p *query.Path, needExist bool, out *[]embe
 		*out = append(*out, e)
 	}
 	// extend advances the accumulated product across one synopsis edge, in
-	// the same multiplication order as the reference per-embedding walks.
+	// path order.
 	extend := func(prod float64, e sketch.Edge, parent int) float64 {
 		if needExist {
 			return prod * edgeExistence(e, a.sk.Nodes[parent].Count)
@@ -776,168 +782,14 @@ func (a *approxer) labelSet() map[string]bool {
 	return set
 }
 
-// embeddingsRef is the pre-plan reference enumeration: a Child step follows
-// one matching edge; a Descendant step follows any downward path ending at
-// a matching label. Mappings sharing a node path are merged into one
-// embedding with multiple step assignments.
-//
-// Two guards keep enumeration cheap: descendant exploration skips subgraphs
-// from which the target label is unreachable (label-reachability prune),
-// and total DFS work is bounded by a step budget proportional to
-// MaxEmbeddings so that fruitless dense regions cannot stall evaluation.
-func (a *approxer) embeddingsRef(from int, steps []query.Step) []embedding {
-	var out []embedding
-	byPath := make(map[string]int) // node-path key -> index in out
-	budget := a.opts.MaxEmbeddings
-	work := 64 * a.opts.MaxEmbeddings
-	if a.poolOn {
-		budget, work = a.poolBudget, a.poolWork
-	}
-	startWork := work
-	var nodes []int
-	var stepAt []int
-
-	var rec func(cur, si int)
-	emit := func() {
-		key := pathKey(nodes)
-		if i, ok := byPath[key]; ok {
-			out[i].stepAts = append(out[i].stepAts, append([]int(nil), stepAt...))
-			return
-		}
-		byPath[key] = len(out)
-		out = append(out, embedding{
-			nodes:   append([]int(nil), nodes...),
-			stepAts: [][]int{append([]int(nil), stepAt...)},
-		})
-	}
-	var desc func(cur, si int)
-	rec = func(cur, si int) {
-		if budget <= 0 || work <= 0 {
-			a.truncated = true
-			return
-		}
-		if si == len(steps) {
-			budget--
-			emit()
-			return
-		}
-		step := &steps[si]
-		if step.Axis == query.Child {
-			for _, e := range a.sk.Nodes[cur].Edges {
-				if a.sk.Nodes[e.Child].Label != step.Label {
-					continue
-				}
-				work--
-				a.tickCtx(1)
-				nodes = append(nodes, e.Child)
-				stepAt = append(stepAt, len(nodes)-1)
-				rec(e.Child, si+1)
-				nodes = nodes[:len(nodes)-1]
-				stepAt = stepAt[:len(stepAt)-1]
-			}
-			return
-		}
-		desc(cur, si)
-	}
-	// desc explores all downward paths for a Descendant step: every node
-	// whose label matches is a landing point (and the search continues
-	// deeper regardless, since descendants below a match can match too).
-	desc = func(cur, si int) {
-		if budget <= 0 {
-			a.truncated = true
-			return
-		}
-		step := &steps[si]
-		for _, e := range a.sk.Nodes[cur].Edges {
-			if work <= 0 {
-				a.truncated = true
-				return
-			}
-			if !a.reaches(e.Child, step.Label) {
-				continue
-			}
-			work--
-			a.tickCtx(1)
-			nodes = append(nodes, e.Child)
-			if a.sk.Nodes[e.Child].Label == step.Label {
-				stepAt = append(stepAt, len(nodes)-1)
-				rec(e.Child, si+1)
-				stepAt = stepAt[:len(stepAt)-1]
-			}
-			desc(e.Child, si)
-			nodes = nodes[:len(nodes)-1]
-		}
-	}
-	rec(from, 0)
-	if a.poolOn {
-		a.poolBudget, a.poolWork = budget, work
-	}
-	a.mEmbeddings.Add(int64(len(out)))
-	a.mEmbedWork.Add(int64(startWork - work))
-	return out
-}
-
-// reaches reports whether a node with the given label is reachable from id
-// (including id itself) following synopsis edges. Computed once per label
-// over the whole graph and cached; reference-mode only (the fast path's
-// can-complete memo subsumes it).
-func (a *approxer) reaches(id int, label string) bool {
-	reach, ok := a.reachCache[label]
-	if !ok {
-		reach = make([]bool, len(a.sk.Nodes))
-		// Seed with label occurrences, then propagate along reverse edges
-		// until a fixed point; iterate passes for simplicity (graphs are
-		// small and the pass count is bounded by the longest chain).
-		for _, u := range a.sk.Nodes {
-			if u != nil && u.Label == label {
-				reach[u.ID] = true
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, u := range a.sk.Nodes {
-				if u == nil || reach[u.ID] {
-					continue
-				}
-				for _, e := range u.Edges {
-					if reach[e.Child] {
-						reach[u.ID] = true
-						changed = true
-						break
-					}
-				}
-			}
-		}
-		if a.reachCache == nil {
-			a.reachCache = make(map[string][]bool)
-		}
-		a.reachCache[label] = reach
-	}
-	return reach[id]
-}
-
 // evalEmbed implements EvalEmbed (Figure 8): the descendant count along the
 // embedding's main path is the product of the traversed average edge
 // counts, scaled by the selectivity of each step's branching predicates.
 // With several step assignments on the same node path, the best (highest
 // selectivity) assignment is used — an element matches if any assignment's
-// predicates hold. The fast path accumulated the count product during
-// enumeration; the reference re-walks the path.
-func (a *approxer) evalEmbed(steps []query.Step, from int, e embedding) float64 {
-	if !a.reference {
-		return e.k * a.bestAssignmentSel(steps, e)
-	}
-	nt := 1.0
-	prev := from
-	for _, nid := range e.nodes {
-		edge, ok := a.sk.Nodes[prev].EdgeTo(nid)
-		if !ok {
-			return 0
-		}
-		nt *= edge.Avg
-		prev = nid
-	}
-	return nt * a.bestAssignmentSel(steps, e)
+// predicates hold. The count product was accumulated during enumeration.
+func (a *approxer) evalEmbed(steps []query.Step, e embedding) float64 {
+	return e.k * a.bestAssignmentSel(steps, e)
 }
 
 // bestAssignmentSel returns the maximum product of branch-predicate
@@ -977,19 +829,6 @@ func (a *approxer) bestAssignmentSel(steps []query.Step, e embedding) float64 {
 	return best
 }
 
-// pathKey renders a node-ID sequence as a map key.
-func pathKey(nodes []int) string {
-	buf := make([]byte, 0, len(nodes)*3)
-	for _, n := range nodes {
-		for n >= 0x80 {
-			buf = append(buf, byte(n)|0x80)
-			n >>= 7
-		}
-		buf = append(buf, byte(n))
-	}
-	return string(buf)
-}
-
 // branchSel estimates the fraction of elements of synopsis node from that
 // have at least one descendant along pred (Figure 8, lines 2-13).
 //
@@ -1023,12 +862,12 @@ func (a *approxer) branchSel(from int, pred *query.Path) float64 {
 	if a.twoMoment {
 		var sum float64
 		if a.fastStream(pred) {
-			a.enumFast(from, pred, true, nil, func(term int, prod float64) {
+			a.enum(from, pred, true, nil, func(term int, prod float64) {
 				sum += prod
 			})
 		} else {
 			for _, e := range a.embeddings(from, pred, true) {
-				sum += a.embedExistence(pred.Steps, from, e)
+				sum += a.embedExistence(pred.Steps, e)
 			}
 		}
 		if sum > 1 {
@@ -1038,12 +877,12 @@ func (a *approxer) branchSel(from int, pred *query.Path) float64 {
 	} else {
 		perTerm := make(map[int]float64)
 		if a.fastStream(pred) {
-			a.enumFast(from, pred, false, nil, func(term int, prod float64) {
+			a.enum(from, pred, false, nil, func(term int, prod float64) {
 				perTerm[term] += prod
 			})
 		} else {
 			for _, e := range a.embeddings(from, pred, false) {
-				perTerm[e.nodes[len(e.nodes)-1]] += a.evalEmbed(pred.Steps, from, e)
+				perTerm[e.nodes[len(e.nodes)-1]] += a.evalEmbed(pred.Steps, e)
 			}
 		}
 		if len(perTerm) > 0 {
@@ -1078,26 +917,10 @@ func (a *approxer) branchSel(from int, pred *query.Path) float64 {
 // embedExistence estimates the probability that an element of from has at
 // least one descendant along the specific embedding: per-hop two-moment
 // existence probabilities multiplied along the path, scaled by the best
-// step assignment's nested-predicate selectivities. The fast path
-// accumulated the per-hop product during enumeration.
-func (a *approxer) embedExistence(steps []query.Step, from int, e embedding) float64 {
-	if !a.reference {
-		return e.exist * a.bestAssignmentSel(steps, e)
-	}
-	p := 1.0
-	prev := from
-	for _, nid := range e.nodes {
-		edge, ok := a.sk.Nodes[prev].EdgeTo(nid)
-		if !ok {
-			return 0
-		}
-		p *= edgeExistence(edge, a.sk.Nodes[prev].Count)
-		if p == 0 {
-			return 0
-		}
-		prev = nid
-	}
-	return p * a.bestAssignmentSel(steps, e)
+// step assignment's nested-predicate selectivities. The per-hop product
+// was accumulated during enumeration.
+func (a *approxer) embedExistence(steps []query.Step, e embedding) float64 {
+	return e.exist * a.bestAssignmentSel(steps, e)
 }
 
 // edgeExistence estimates P(child count >= 1) for one synopsis edge: when

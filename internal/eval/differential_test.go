@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"treesketch/internal/datagen"
 	"treesketch/internal/query"
+	"treesketch/internal/sketch"
 	"treesketch/internal/stable"
 	"treesketch/internal/tsbuild"
 	"treesketch/internal/xmltree"
@@ -193,7 +195,7 @@ func TestDifferentialExactVsReference(t *testing.T) {
 		for _, q := range diffQueries(t, doc, 40, int64(di)+200) {
 			pairs++
 			got := Exact(ix, q)
-			refT, refE := ExactReference(ix, q)
+			refT, refE := exactReference(ix, q)
 			if math.Float64bits(got.Tuples) != math.Float64bits(refT) {
 				t.Fatalf("doc %d, query %s: fast=%v ref=%v", di, q, got.Tuples, refT)
 			}
@@ -207,41 +209,97 @@ func TestDifferentialExactVsReference(t *testing.T) {
 	}
 }
 
-// TestDifferentialApproxFastVsReference checks the plan-driven approximate
-// fast path is bit-identical to the reference enumeration — selectivity,
-// emptiness, node counts — on every quick-grid dataset family, at two
-// synopsis budgets each (a heavily merged and a lightly merged one).
-func TestDifferentialApproxFastVsReference(t *testing.T) {
+// approxMismatch describes the first difference between a fast-path and a
+// reference result — emptiness, selectivity bits, node count, or any
+// node's Src, VarID or Count bits — or returns "" when they are identical.
+func approxMismatch(fast, ref *Result) string {
+	if fast.Empty != ref.Empty {
+		return fmt.Sprintf("Empty fast=%v ref=%v", fast.Empty, ref.Empty)
+	}
+	if fs, rs := fast.Selectivity(), ref.Selectivity(); math.Float64bits(fs) != math.Float64bits(rs) {
+		return fmt.Sprintf("selectivity fast=%v ref=%v", fs, rs)
+	}
+	if len(fast.Nodes) != len(ref.Nodes) {
+		return fmt.Sprintf("nodes fast=%d ref=%d", len(fast.Nodes), len(ref.Nodes))
+	}
+	for i := range fast.Nodes {
+		fn, rn := fast.Nodes[i], ref.Nodes[i]
+		if fn.Src != rn.Src || fn.VarID != rn.VarID ||
+			math.Float64bits(fn.Count) != math.Float64bits(rn.Count) {
+			return fmt.Sprintf("node %d fast={src %d var %d count %v} ref={src %d var %d count %v}",
+				i, fn.Src, fn.VarID, fn.Count, rn.Src, rn.VarID, rn.Count)
+		}
+	}
+	return ""
+}
+
+// approxGrid calls check for every case of the approximate differential
+// grid: every quick-grid dataset family at two synopsis budgets each (a
+// heavily merged and a lightly merged one), 40 generated queries per
+// synopsis. where names the case for failure messages.
+func approxGrid(check func(where string, sk *sketch.Sketch, q *query.Query)) {
 	for _, ds := range datagen.All() {
 		doc := datagen.Generate(ds, 2000, 1)
 		st := stable.Build(doc)
 		for _, div := range []int{2, 8} {
 			sk, _ := tsbuild.Build(st, tsbuild.Options{BudgetBytes: st.SizeBytes() / div})
 			for qi, q := range query.Generate(st, 40, query.GenOptions{Seed: int64(div)}) {
-				fast := Approx(sk, q, Options{})
-				ref := Approx(sk, q, Options{Reference: true})
-				if fast.Truncated || ref.Truncated {
-					continue // budgets diverge under truncation by design
-				}
-				if fast.Empty != ref.Empty {
-					t.Fatalf("%s/%d q%d %s: Empty fast=%v ref=%v", ds, div, qi, q, fast.Empty, ref.Empty)
-				}
-				fs, rs := fast.Selectivity(), ref.Selectivity()
-				if math.Float64bits(fs) != math.Float64bits(rs) {
-					t.Fatalf("%s/%d q%d %s: selectivity fast=%v ref=%v", ds, div, qi, q, fs, rs)
-				}
-				if len(fast.Nodes) != len(ref.Nodes) {
-					t.Fatalf("%s/%d q%d %s: nodes fast=%d ref=%d", ds, div, qi, q, len(fast.Nodes), len(ref.Nodes))
-				}
-				for i := range fast.Nodes {
-					fn, rn := fast.Nodes[i], ref.Nodes[i]
-					if fn.Src != rn.Src || fn.VarID != rn.VarID ||
-						math.Float64bits(fn.Count) != math.Float64bits(rn.Count) {
-						t.Fatalf("%s/%d q%d %s: node %d fast={src %d var %d count %v} ref={src %d var %d count %v}",
-							ds, div, qi, q, i, fn.Src, fn.VarID, fn.Count, rn.Src, rn.VarID, rn.Count)
-					}
-				}
+				check(fmt.Sprintf("%s/%d q%d %s", ds, div, qi, q), sk, q)
 			}
 		}
+	}
+}
+
+// TestDifferentialApproxFastVsReference checks the plan-driven approximate
+// fast path is bit-identical to the reference enumeration — selectivity,
+// emptiness, node counts — over the approximate differential grid.
+func TestDifferentialApproxFastVsReference(t *testing.T) {
+	approxGrid(func(where string, sk *sketch.Sketch, q *query.Query) {
+		fast := Approx(sk, q, Options{})
+		ref := Approx(sk, q, refOptions(Options{}))
+		if fast.Truncated || ref.Truncated {
+			return // budgets diverge under truncation by design
+		}
+		if msg := approxMismatch(fast, ref); msg != "" {
+			t.Fatalf("%s: %s", where, msg)
+		}
+	})
+}
+
+// TestDifferentialTopKFastVsReference is the streaming top-k counterpart:
+// over the same grid, with the best-first emitter (Options.Limit) at a
+// finite node budget and unbounded, the fast path and the reference
+// enumeration must agree bit for bit on the result and on the top-k
+// report's Expanded count and ErrorBound whenever neither run truncated
+// or drained the shared work pool.
+func TestDifferentialTopKFastVsReference(t *testing.T) {
+	compared, skipped := 0, 0
+	approxGrid(func(where string, sk *sketch.Sketch, q *query.Query) {
+		for _, limit := range []int{16, -1} {
+			fast := Approx(sk, q, Options{Limit: limit})
+			ref := Approx(sk, q, refOptions(Options{Limit: limit}))
+			if fast.TopK == nil || ref.TopK == nil {
+				t.Fatalf("%s limit %d: no top-k report", where, limit)
+			}
+			if fast.Truncated || ref.Truncated || fast.TopK.WorkCapped || ref.TopK.WorkCapped {
+				skipped++
+				continue // pool budgets diverge under truncation by design
+			}
+			compared++
+			if msg := approxMismatch(fast, ref); msg != "" {
+				t.Fatalf("%s limit %d: %s", where, limit, msg)
+			}
+			ft, rt := fast.TopK, ref.TopK
+			if ft.Expanded != rt.Expanded {
+				t.Fatalf("%s limit %d: Expanded fast=%d ref=%d", where, limit, ft.Expanded, rt.Expanded)
+			}
+			if math.Float64bits(ft.ErrorBound) != math.Float64bits(rt.ErrorBound) {
+				t.Fatalf("%s limit %d: ErrorBound fast=%v ref=%v", where, limit, ft.ErrorBound, rt.ErrorBound)
+			}
+		}
+	})
+	t.Logf("top-k differential pairs: %d compared, %d skipped", compared, skipped)
+	if compared < 600 {
+		t.Fatalf("only %d top-k pairs compared (%d skipped), want >= 600", compared, skipped)
 	}
 }

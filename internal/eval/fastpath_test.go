@@ -48,7 +48,7 @@ func TestApproxPruningOnHeavyTwig(t *testing.T) {
 	}
 
 	// And pruning must not change the answer.
-	ref := Approx(sk, q, Options{Reference: true})
+	ref := Approx(sk, q, refOptions(Options{}))
 	if fb, rb := math.Float64bits(fast.Selectivity()), math.Float64bits(ref.Selectivity()); fb != rb {
 		t.Fatalf("selectivity fast=%v ref=%v", fast.Selectivity(), ref.Selectivity())
 	}

@@ -16,7 +16,8 @@ import (
 //
 // Example (the paper's Figure 2 query): "//a[//b]{//p{//k?},//n?}".
 // '?' marks a dashed (optional, return-clause) edge. Variables are named
-// q0 (implicit root) then q1..qn in pre-order.
+// q0 (implicit root) then q1..qn in pre-order. Braces and brackets may nest
+// at most maxNesting (256) levels deep; deeper queries are a parse error.
 func Parse(src string) (*Query, error) {
 	p := &parser{src: src}
 	edges, err := p.edges()
@@ -35,6 +36,12 @@ func Parse(src string) (*Query, error) {
 	return q, nil
 }
 
+// maxNesting bounds how deeply '{' and '[' may nest in one query. The
+// parser and every evaluator recurse once per level, so an unbounded depth
+// would let one query text overflow the stack; the bound sits far above
+// anything a real twig (or query.Generate) uses.
+const maxNesting = 256
+
 // MustParse is Parse that panics on error; for tests and examples with
 // literal queries.
 func MustParse(src string) *Query {
@@ -46,8 +53,19 @@ func MustParse(src string) *Query {
 }
 
 type parser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	depth int // '{' and '[' levels currently open
+}
+
+// enter opens one '{' or '[' level, failing past maxNesting; the caller
+// closes it with p.depth-- once the matching bracket is consumed.
+func (p *parser) enter() error {
+	p.depth++
+	if p.depth > maxNesting {
+		return fmt.Errorf("query: parse: nesting deeper than %d at offset %d", maxNesting, p.pos)
+	}
+	return nil
 }
 
 func (p *parser) skipSpace() {
@@ -92,6 +110,9 @@ func (p *parser) edge() (*Edge, error) {
 	}
 	if p.pos < len(p.src) && p.src[p.pos] == '{' {
 		p.pos++
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
 		kids, err := p.edges()
 		if err != nil {
 			return nil, err
@@ -101,6 +122,7 @@ func (p *parser) edge() (*Edge, error) {
 			return nil, fmt.Errorf("query: parse: expected '}' at offset %d", p.pos)
 		}
 		p.pos++
+		p.depth--
 		e.Child.Edges = kids
 	}
 	return e, nil
@@ -130,6 +152,9 @@ func (p *parser) path() (*Path, error) {
 				break
 			}
 			p.pos++
+			if err := p.enter(); err != nil {
+				return nil, err
+			}
 			pred, err := p.path()
 			if err != nil {
 				return nil, err
@@ -139,6 +164,7 @@ func (p *parser) path() (*Path, error) {
 				return nil, fmt.Errorf("query: parse: expected ']' at offset %d", p.pos)
 			}
 			p.pos++
+			p.depth--
 			step.Preds = append(step.Preds, pred)
 		}
 		steps = append(steps, step)

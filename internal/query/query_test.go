@@ -95,6 +95,44 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// nestedQuery returns a query nesting braces '{' levels of twig edges
+// around a path with brackets '[' levels of predicates (a predicate holds a
+// path, never a '{').
+func nestedQuery(braces, brackets int) string {
+	return strings.Repeat("//a{", braces) + "//a" +
+		strings.Repeat("[//a", brackets) + strings.Repeat("]", brackets) +
+		strings.Repeat("}", braces)
+}
+
+// TestParseNestingBound checks query nesting is bounded with an ordinary
+// parse error: a query at the bound parses, one level past it does not,
+// and a query millions of levels deep fails fast instead of overflowing
+// the stack.
+func TestParseNestingBound(t *testing.T) {
+	half := maxNesting / 2
+	for _, at := range [][2]int{{maxNesting, 0}, {0, maxNesting}, {half, maxNesting - half}} {
+		if _, err := Parse(nestedQuery(at[0], at[1])); err != nil {
+			t.Fatalf("query at the nesting bound (%d braces, %d brackets) rejected: %v", at[0], at[1], err)
+		}
+		for _, past := range [][2]int{{at[0] + 1, at[1]}, {at[0], at[1] + 1}} {
+			if _, err := Parse(nestedQuery(past[0], past[1])); err == nil || !strings.Contains(err.Error(), "nesting") {
+				t.Fatalf("query past the nesting bound (%d braces, %d brackets): error %v, want nesting error", past[0], past[1], err)
+			}
+		}
+	}
+	// Siblings do not add depth: many shallow branches stay legal.
+	wide := "//a{" + strings.TrimSuffix(strings.Repeat("//b[//c],", 2*maxNesting), ",") + "}"
+	if _, err := Parse(wide); err != nil {
+		t.Fatalf("wide shallow query rejected: %v", err)
+	}
+	const deep = 3_000_000
+	for _, src := range []string{nestedQuery(deep, 0), nestedQuery(0, deep)} {
+		if _, err := Parse(src); err == nil {
+			t.Fatalf("%d-level query accepted", deep)
+		}
+	}
+}
+
 func TestVarNumbering(t *testing.T) {
 	q := MustParse("//a{//b{//c},//d},//e")
 	vars := q.Vars()

@@ -99,6 +99,10 @@ func TestEstimateErrors(t *testing.T) {
 	if got := status("/estimate?q=" + urlQueryEscape("//[broken")); got != 400 {
 		t.Errorf("parse error: status %d, want 400", got)
 	}
+	deep := strings.Repeat("//a{", 300) + "//a" + strings.Repeat("}", 300)
+	if got := status("/estimate?q=" + urlQueryEscape(deep)); got != 400 {
+		t.Errorf("query nested past the parser bound: status %d, want 400", got)
+	}
 	if got := status("/estimate?dataset=nope&q=" + urlQueryEscape(q)); got != 404 {
 		t.Errorf("unknown dataset: status %d, want 404", got)
 	}
@@ -107,8 +111,8 @@ func TestEstimateErrors(t *testing.T) {
 		t.Errorf("implicit dataset: status %d, want 200", got)
 	}
 	snap := s.Registry().Snapshot()
-	if snap.Counters["serve.http.errors"] != 3 {
-		t.Errorf("error counter = %d, want 3", snap.Counters["serve.http.errors"])
+	if snap.Counters["serve.http.errors"] != 4 {
+		t.Errorf("error counter = %d, want 4", snap.Counters["serve.http.errors"])
 	}
 	if snap.Counters["serve.http.not_found"] != 1 {
 		t.Errorf("not_found counter = %d, want 1", snap.Counters["serve.http.not_found"])

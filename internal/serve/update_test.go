@@ -187,6 +187,27 @@ func TestUpdateErrors(t *testing.T) {
 	}
 }
 
+// TestUpdateReplicationBombRejected checks that a compact subtree whose
+// replication count is far past the node bound is an ordinary 400: the
+// server must refuse it before allocating anything and keep serving.
+func TestUpdateReplicationBombRejected(t *testing.T) {
+	s, stk := newLiveServer(t, "r(a(b))", tier.Options{Synchronous: true})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var er errorResponse
+	req := UpdateRequest{Op: "insert", ParentOID: stk.Doc().Root.OID, Subtree: "x*9999999999"}
+	if code := postUpdate(t, ts, req, &er); code != http.StatusBadRequest || er.Code != "parse_error" {
+		t.Fatalf("replication bomb: status %d code %q, want 400 parse_error", code, er.Code)
+	}
+	if got := estimate(t, ts, "//a/b").Selectivity; got != 1 {
+		t.Errorf("//a/b selectivity %v after rejected bomb, want 1", got)
+	}
+	if stk.Doc().Size() != 3 {
+		t.Errorf("document size %d after rejected bomb, want 3", stk.Doc().Size())
+	}
+}
+
 func TestUpdateDuringCompactionDoesNotBlockEstimates(t *testing.T) {
 	// Thresholds low enough that the insert below trips a background
 	// compaction, with the build phase stretched so the follow-up estimate

@@ -91,6 +91,7 @@ func (p *compactParser) node(t *Tree) ([]*Node, error) {
 		count = n
 	}
 	var childSpecs [][]*Node
+	before := t.Size()
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '(' {
 		p.pos++
@@ -115,23 +116,24 @@ func (p *compactParser) node(t *Tree) ([]*Node, error) {
 			return nil, fmt.Errorf("xmltree: compact: expected ',' or ')' at offset %d", p.pos)
 		}
 	}
+	// Check the node bound before allocating anything: the first instance
+	// adds one node (its children already exist), every further replica a
+	// full copy of the subtree, that is the node plus everything its child
+	// specs added to t.
+	per := 1 + t.Size() - before
+	if room := maxCompactNodes - t.Size() - 1; room < 0 || count-1 > room/per {
+		return nil, fmt.Errorf("xmltree: compact: tree exceeds %d nodes", maxCompactNodes)
+	}
 	out := make([]*Node, count)
 	for i := range out {
-		if t.Size() > maxCompactNodes {
-			return nil, fmt.Errorf("xmltree: compact: tree exceeds %d nodes", maxCompactNodes)
-		}
 		n := t.NewNode(label)
 		for _, group := range childSpecs {
 			if i == 0 {
 				n.Children = append(n.Children, group...)
-			} else {
-				for _, proto := range group {
-					c, err := cloneInto(t, proto)
-					if err != nil {
-						return nil, err
-					}
-					n.Children = append(n.Children, c)
-				}
+				continue
+			}
+			for _, proto := range group {
+				n.Children = append(n.Children, cloneInto(t, proto))
 			}
 		}
 		out[i] = n
@@ -139,19 +141,12 @@ func (p *compactParser) node(t *Tree) ([]*Node, error) {
 	return out, nil
 }
 
-func cloneInto(t *Tree, proto *Node) (*Node, error) {
-	if t.Size() > maxCompactNodes {
-		return nil, fmt.Errorf("xmltree: compact: tree exceeds %d nodes", maxCompactNodes)
-	}
+func cloneInto(t *Tree, proto *Node) *Node {
 	n := t.NewNode(proto.Label)
 	for _, c := range proto.Children {
-		cc, err := cloneInto(t, c)
-		if err != nil {
-			return nil, err
-		}
-		n.Children = append(n.Children, cc)
+		n.Children = append(n.Children, cloneInto(t, c))
 	}
-	return n, nil
+	return n
 }
 
 // Compact renders the tree in (a canonicalized form of) the compact

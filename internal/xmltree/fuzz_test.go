@@ -62,6 +62,7 @@ func FuzzCompact(f *testing.F) {
 		"r)(",
 		"r(a*0)",
 		"r(a*9999999)",
+		"r(a*9999999999)",
 	} {
 		f.Add(s)
 	}

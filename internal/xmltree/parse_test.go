@@ -136,6 +136,36 @@ func TestCompactErrors(t *testing.T) {
 	}
 }
 
+// TestCompactReplicationBound checks the node bound is enforced before any
+// allocation: a replication count far past it must be an ordinary error,
+// not an attempt to allocate the replica slice.
+func TestCompactReplicationBound(t *testing.T) {
+	for _, src := range []string{
+		"r(a*9999999999)",
+		"r(a*9223372036854775807)",
+		"r(a*1024(b*1023))",
+		"r(a*1048576)",
+	} {
+		if _, err := BuildCompact(src); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("BuildCompact(%q) error = %v, want node-bound error", src, err)
+		}
+	}
+	// At or just under the bound: the root plus maxCompactNodes-1 leaves,
+	// and 1023 replicas of a 1024-node subtree.
+	for src, size := range map[string]int{
+		"r(a*1048575)":      maxCompactNodes,
+		"r(a*1023(b*1023))": 1 + 1023*1024,
+	} {
+		tr, err := BuildCompact(src)
+		if err != nil {
+			t.Fatalf("BuildCompact(%q) rejected within the bound: %v", src, err)
+		}
+		if tr.Size() != size {
+			t.Fatalf("BuildCompact(%q) Size = %d, want %d", src, tr.Size(), size)
+		}
+	}
+}
+
 func TestCompactReplication(t *testing.T) {
 	tr := MustCompact("r(a*3(b*2))")
 	if tr.Size() != 1+3+6 {
